@@ -64,6 +64,7 @@ from .errors import (
     CharacteristicConstraint,
     DegenerateForm,
     DomainError,
+    FactorizationLimit,
     FieldMismatch,
     FormSyntaxError,
     InseparablePolynomial,

@@ -380,11 +380,6 @@ class OtildeClass:
     coefficient: int
     generator: str  # "pe" or "etilde"
 
-    def as_poly(self) -> "TwistedEulerPoly":
-        if self.generator == "pe":
-            return TwistedEulerPoly({(1, 0): self.coefficient})
-        return TwistedEulerPoly({(0, 1): self.coefficient})
-
 
 def euler_Otilde(m: int, orientation: int = 1) -> OtildeClass:
     """Table of Euler classes of the weight-m bundles; the negatively

@@ -69,3 +69,7 @@ class ParityViolation(DomainError):
 
 class FormSyntaxError(DomainError):
     """Unparseable form, class or bundle expression text."""
+
+
+class FactorizationLimit(DomainError):
+    """An integer could not be factored within the factoring method's limits."""

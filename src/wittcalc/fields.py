@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from .errors import InvalidEntry
+from .errors import FactorizationLimit, InvalidEntry
 
 # Trial division handles everything this package produces in practice;
 # the rho fallback keeps large accidental cofactors from hanging us.
@@ -61,7 +62,7 @@ def _pollard_rho(n: int) -> int:
             d = _gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"rho failed to split {n}")
+    raise FactorizationLimit(f"rho failed to split {n}")
 
 
 def _gcd(a: int, b: int) -> int:
@@ -112,6 +113,13 @@ def squarefree_part(a: int | Fraction) -> int:
         if e % 2:
             r *= p
     return r if a > 0 else -r
+
+
+def sqclass_mul(a: int, b: int) -> int:
+    """Square class of a*b for square-free integers a and b: (a/g)(b/g)
+    with g = gcd(a, b), so no factoring is needed."""
+    g = gcd(a, b)
+    return (a // g) * (b // g)
 
 
 def legendre(a: int, p: int) -> int:

@@ -2,14 +2,18 @@
 
 A form is diagonal with entries canonicalized to square-class
 representatives; a GW class is a reduced virtual difference of two such
-forms.  Equality of GW classes is decided by the complete invariant
-(rank, Witt class); over Q the Witt class is the triple
+forms.  Gram matrices are diagonalized by one symmetric-elimination
+kernel: fraction-free Bareiss elimination over Z (after clearing
+denominators), or on residues mod p over F_p.  Equality of GW classes is
+decided by the complete invariant (rank, Witt class); over Q the Witt
+class is the triple
 
     (signature, residue parity at 2, second residues at odd primes),
 
 which is a complete invariant by the residue decomposition of W(Q),
 and isometry of forms over Q is decided by rank, discriminant,
-signature and Hasse invariants at the finitely many relevant places.
+signature and Hasse invariants at the finitely many relevant places,
+each a product of n Hilbert symbols (a_1...a_(j-1), a_j).
 
 All values are immutable and all functions are pure, so everything here
 is safe to share across threads.
@@ -36,8 +40,10 @@ from .fields import (
     Q,
     factorize,
     is_prime,
+    lcm,
     legendre,
     smallest_nonresidue,
+    sqclass_mul,
     squarefree_part,
 )
 
@@ -78,10 +84,11 @@ class QForm:
 
     @property
     def disc(self) -> int:
+        # canonical entries are square-free (over F_p: 1 or a prime)
         d = 1
         for a in self.entries:
-            d *= a
-        return self.field.canonical_entry(d) if self.entries else 1
+            d = sqclass_mul(d, a)
+        return d
 
     def __str__(self) -> str:
         return format_form(self)
@@ -104,110 +111,100 @@ def perp(q1: QForm, q2: QForm) -> QForm:
 # diagonalization by symmetric elimination
 
 
-def _as_matrix(gram: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
-    n = len(gram)
-    m = [[Fraction(x) for x in row] for row in gram]
+def _as_matrix(gram: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    m = [[x if type(x) in (int, Fraction) else Fraction(x) for x in row] for row in gram]
+    n = len(m)
     if any(len(row) != n for row in m):
         raise NonSymmetric("Gram matrix must be square")
-    for i in range(n):
-        for j in range(i):
-            if m[i][j] != m[j][i]:
-                raise NonSymmetric("Gram matrix must be symmetric")
+    if any(m[i][j] != m[j][i] for i in range(n) for j in range(i)):
+        raise NonSymmetric("Gram matrix must be symmetric")
     return m
 
 
-def _swap_sym(m: list[list[Fraction]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-    for row in m:
-        row[i], row[j] = row[j], row[i]
+def _eliminate(m: list[list[int]], p: int | None) -> list[int]:
+    """Leading principal minors D_1..D_n of a matrix congruent to the
+    symmetric matrix m, by fraction-free (Bareiss) elimination in place:
+    over Z when p is None, else on residues mod p.  Its k-th diagonal
+    entry is D_k / D_(k-1).
+
+    After step k the trailing block is D_k times the Schur complement, so
+    the pivot rule sees the zeros of plain elimination: the first nonzero
+    diagonal entry, else a symmetric move (see _make_pivot).  Only the
+    upper triangle is updated; the lower one is restored before a swap
+    or a move.
+    """
+    n = len(m)
+    minors: list[int] = []
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv != k:
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    m[j][i] = m[i][j]
+            if piv is None:
+                piv = _make_pivot(m, k, p)
+            m[piv], m[k] = m[k], m[piv]
+            for row in m[k:]:
+                row[piv], row[k] = row[k], row[piv]
+        rk = m[k]
+        d = rk[k]
+        inv = pow(prev, -1, p) if p else 1
+        for i in range(k + 1, n):
+            ri = m[i]
+            a = rk[i]
+            if p:
+                ri[i:] = [(d * x - a * y) * inv % p for x, y in zip(ri[i:], rk[i:])]
+            else:
+                ri[i:] = [(d * x - a * y) // prev for x, y in zip(ri[i:], rk[i:])]
+        rk.clear()  # a finished row is never read again
+        minors.append(d)
+        prev = d
+    return minors
+
+
+def _make_pivot(m: list[list[int]], k: int, p: int | None) -> int:
+    """Make a pivot in a trailing block with zero diagonal: for its first
+    nonzero m[i][j], i < j, add row j to row i and column j to column i,
+    so m[i][i] becomes 2 m[i][j] (nonzero away from characteristic 2).
+
+    Mod p, row and column i may leave [0, p) here; they become the pivot
+    row and column, whose entries are only ever multiplied."""
+    n = len(m)
+    for i in range(k, n):
+        for j in range(i + 1, n):
+            if m[i][j]:
+                ri, rj = m[i], m[j]
+                for t in range(k, n):
+                    ri[t] += rj[t]
+                for row in m[k:]:
+                    row[i] += row[j]
+                return i
+    raise DegenerateForm("Gram matrix is singular" + (f" mod {p}" if p else ""))
 
 
 def diagonalize(gram: Sequence[Sequence[Scalar]], field: FieldSpec = Q) -> QForm:
     """Diagonal form congruent to a symmetric nondegenerate matrix.
 
-    Pivot rule: first nonzero diagonal entry; if the remaining diagonal
-    is all zero, the symmetric move row_i += row_j (and the matching
-    column move) manufactures one, which always works away from
-    characteristic 2.
+    Over F_p the elimination runs on residues mod p; otherwise on the
+    Gram matrix scaled to integers by the lcm L of its denominators, whose
+    k-th diagonal entry D_k / D_(k-1) is L times that of the Gram matrix.
     """
-    if field.kind == "Fp":
-        return _diagonalize_fp(gram, field)
     m = _as_matrix(gram)
-    n = len(m)
-    diag: list[Fraction] = []
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i] != 0), None)
-        if piv is None:
-            moved = False
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        for t in range(n):
-                            m[i][t] += m[j][t]
-                        for t in range(n):
-                            m[t][i] += m[t][j]
-                        piv = i
-                        moved = True
-                        break
-                if moved:
-                    break
-            if piv is None:
-                raise DegenerateForm("Gram matrix is singular")
-        if piv != k:
-            _swap_sym(m, piv, k)
-        d = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] / d
-            if f:
-                for t in range(k, n):
-                    m[i][t] -= f * m[k][t]
-                for t in range(k, n):
-                    m[t][i] -= f * m[t][k]
-        diag.append(d)
-    return QForm.make(field, diag)
+    p = field.p if field.kind == "Fp" else None
+    scale = 1
+    if p:
+        m = [[field_int(x, p) for x in row] for row in m]
+    else:
+        scale = lcm(*(x.denominator for row in m for x in row))
+        m = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    minors = _eliminate(m, p)
+    return QForm.make(
+        field, [Fraction(d, scale * prev) for d, prev in zip(minors, [1] + minors)]
+    )
 
 
-def _diagonalize_fp(gram: Sequence[Sequence[Scalar]], field: FieldSpec) -> QForm:
-    p = field.p
-    assert p is not None
-    base = _as_matrix(gram)
-    n = len(base)
-    m = [[field_int(x, p) for x in row] for row in base]
-    diag: list[int] = []
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i] % p), None)
-        if piv is None:
-            moved = False
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if m[i][j] % p:
-                        for t in range(n):
-                            m[i][t] = (m[i][t] + m[j][t]) % p
-                        for t in range(n):
-                            m[t][i] = (m[t][i] + m[t][j]) % p
-                        piv = i
-                        moved = True
-                        break
-                if moved:
-                    break
-            if piv is None:
-                raise DegenerateForm(f"Gram matrix is singular mod {p}")
-        if piv != k:
-            _swap_sym(m, piv, k)
-        d = m[k][k] % p
-        dinv = pow(d, p - 2, p)
-        for i in range(k + 1, n):
-            f = m[i][k] * dinv % p
-            if f:
-                for t in range(k, n):
-                    m[i][t] = (m[i][t] - f * m[k][t]) % p
-                for t in range(k, n):
-                    m[t][i] = (m[t][i] - f * m[t][k]) % p
-        diag.append(d)
-    return QForm.make(field, diag)
-
-
-def field_int(x: Fraction, p: int) -> int:
+def field_int(x: Scalar, p: int) -> int:
     den = x.denominator % p
     if den == 0:
         raise InvalidEntry(f"denominator of {x} vanishes mod {p}")
@@ -216,10 +213,6 @@ def field_int(x: Fraction, p: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Hilbert symbols and Hasse-Minkowski invariants
-
-
-def _sqclass_int(a: Scalar) -> int:
-    return squarefree_part(Fraction(a))
 
 
 def _split_valuation(a: int, p: int) -> tuple[int, int]:
@@ -232,28 +225,30 @@ def _split_valuation(a: int, p: int) -> tuple[int, int]:
 
 def hilbert_symbol(a: Scalar, b: Scalar, place: Place) -> int:
     """Hilbert symbol (a, b) at a place of Q ("inf", 2, or an odd prime)."""
-    a = _sqclass_int(a)
-    b = _sqclass_int(b)
+    a = squarefree_part(a)
+    b = squarefree_part(b)
+    if place != INF and (not isinstance(place, int) or not is_prime(place)):
+        raise InvalidEntry(f"not a place of Q: {place!r}")
+    return _hilbert_sf(a, b, place)
+
+
+def _hilbert_sf(a: int, b: int, place: Place) -> int:
+    """Hilbert symbol of square-free integers a, b at a valid place; the
+    p-adic valuation of a square-free integer is 0 or 1."""
     if place == INF:
         return -1 if a < 0 and b < 0 else 1
-    if not isinstance(place, int) or not is_prime(place):
-        raise InvalidEntry(f"not a place of Q: {place!r}")
     p = place
-    alpha, u = _split_valuation(a, p)
-    beta, v = _split_valuation(b, p)
+    alpha, u = (1, a // p) if a % p == 0 else (0, a)
+    beta, v = (1, b // p) if b % p == 0 else (0, b)
     if p == 2:
-        eps_u = ((u - 1) // 2) % 2
-        eps_v = ((v - 1) // 2) % 2
-        omega_u = ((u * u - 1) // 8) % 2
-        omega_v = ((v * v - 1) // 8) % 2
-        e = eps_u * eps_v + alpha * omega_v + beta * omega_u
+        # eps(x) = (x - 1)/2 and omega(x) = (x^2 - 1)/8, read mod 2
+        e = (u - 1) // 2 * ((v - 1) // 2) + alpha * ((v * v - 1) // 8)
+        e += beta * ((u * u - 1) // 8)
         return -1 if e % 2 else 1
-    s = 1
-    if alpha % 2 and beta % 2:
-        s *= legendre(-1, p)
-    if beta % 2:
+    s = legendre(-1, p) if alpha and beta else 1
+    if beta:
         s *= legendre(u, p)
-    if alpha % 2:
+    if alpha:
         s *= legendre(v, p)
     return s
 
@@ -279,10 +274,12 @@ class FormInvariants:
 
 
 def _hasse_at(entries: Sequence[int], place: Place) -> int:
-    s = 1
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            s *= hilbert_symbol(entries[i], entries[j], place)
+    """prod_(i<j) (a_i, a_j) at a place, for square-free entries, as
+    prod_j (a_1...a_(j-1), a_j) with the prefix kept square-free."""
+    s = prefix = 1
+    for a in entries:
+        s *= _hilbert_sf(prefix, a, place)
+        prefix = sqclass_mul(prefix, a)
     return s
 
 

@@ -102,13 +102,6 @@ def pdivmod(a: Sequence, b: Sequence) -> tuple[Poly, Poly]:
     return norm(q), norm(r)
 
 
-def div_exact(a: Sequence, b: Sequence) -> Poly:
-    q, r = pdivmod(a, b)
-    if r:
-        raise ArithmeticError("division is not exact")
-    return q
-
-
 def as_ints(a: Sequence) -> Poly:
     out = []
     for c in a:
@@ -133,10 +126,3 @@ def gcd_monic(a: Sequence, b: Sequence) -> Poly:
 def deriv(a: Sequence) -> Poly:
     a = norm(a)
     return norm(tuple(i * a[i] for i in range(1, len(a))))
-
-
-def peval(a: Sequence, x):
-    out = 0
-    for c in reversed(norm(a)):
-        out = out * x + c
-    return out

@@ -21,17 +21,28 @@ from .gwcore import QForm, diagonalize, is_isometric, perp, unit_form
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple:
     """Coefficients (lowest degree first) of the n-th cyclotomic polynomial,
-    by the classical recursion: divide x^n - 1 by the proper-divisor ones."""
+    by the classical recursion: divide x^n - 1 by the proper-divisor ones.
+
+    The divisor is monic with integer coefficients, so the long division
+    stays in the integers and must leave no remainder."""
     if n < 1:
         raise InvalidEntry("cyclotomic index must be >= 1")
     if n == 1:
         return (-1, 1)
-    num = (-1,) + (0,) * (n - 1) + (1,)
+    rem = [-1] + [0] * (n - 1) + [1]
     den: tuple = (1,)
     for d in range(1, n):
         if n % d == 0:
             den = qpoly.mul(den, cyclotomic_poly(d))
-    return qpoly.as_ints(qpoly.div_exact(num, den))
+    top = len(den) - 1
+    quo = [0] * (n - top + 1)
+    for k in range(n - top, -1, -1):
+        c = quo[k] = rem[k + top]
+        if c:
+            for i, b in enumerate(den):
+                rem[k + i] -= c * b
+    assert not any(rem), "cyclotomic division must be exact"
+    return tuple(quo)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from wittcalc import (
     parse_gw,
     quadratic_lines_class,
 )
+from wittcalc import fields
 from wittcalc.cli import main
 
 
@@ -153,6 +154,13 @@ def test_domain_errors_exit_two_with_error_name() -> None:
         code, _, err = run(*argv)
         assert code == 2, argv
         assert name in err, (argv, err)
+
+
+def test_rho_failure_exits_two(monkeypatch) -> None:
+    monkeypatch.setattr(fields, "_gcd", lambda a, n: n)
+    code, _, err = run("gw", "classify", f"<{1000003 * 1000037}>")
+    assert code == 2
+    assert "FactorizationLimit" in err
 
 
 # -------------------------------------------------------------- json mode

@@ -25,6 +25,7 @@ from conftest import (
 from wittcalc import (
     C,
     DegenerateForm,
+    FactorizationLimit,
     FieldMismatch,
     FormSyntaxError,
     Fp,
@@ -65,6 +66,8 @@ from wittcalc import (
     witt_class,
     witt_equal,
 )
+from wittcalc import fields, gwcore
+from wittcalc.gwcore import relevant_places
 
 nonzero_ints = st.integers(min_value=-50, max_value=50).filter(lambda n: n != 0)
 small_nonzero = st.integers(min_value=-9, max_value=9).filter(lambda n: n != 0)
@@ -110,6 +113,14 @@ def test_fp_entries_are_one_or_smallest_nonresidue() -> None:
 def test_fp_entry_divisible_by_p_rejected() -> None:
     with pytest.raises(InvalidEntry):
         QForm.make(Fp(5), [10])
+
+
+def test_rho_failure_is_a_domain_error(monkeypatch) -> None:
+    # both factors lie above the trial-division bound, so splitting needs
+    # rho, and a gcd that always returns n makes every restart fail
+    monkeypatch.setattr(fields, "_gcd", lambda a, n: n)
+    with pytest.raises(FactorizationLimit):
+        squarefree_part(1000003 * 1000033)
 
 
 def test_squarefree_part_examples() -> None:
@@ -159,6 +170,139 @@ def test_diagonalize_congruence_invariance(seed: int) -> None:
     assert is_isometric(diagonalize(g), diagonalize(congruent(p, g)))
 
 
+# ------------------------------------------------- elimination kernel
+
+
+def _reference_diagonal(gram, p: int | None = None) -> list:
+    """Plain symmetric elimination, step for step as diagonalize worked
+    before its fraction-free kernel: Fraction arithmetic over Q, residues
+    mod p over F_p.  The raw diagonal, before canonicalization."""
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in gram]
+    else:
+        m = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in row] for row in gram]
+
+    def red(x):
+        return x if p is None else x % p
+
+    n = len(m)
+    diag = []
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i] != 0), None)
+        if piv is None:
+            moved = False
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    if m[i][j] != 0:
+                        for t in range(n):
+                            m[i][t] = red(m[i][t] + m[j][t])
+                        for t in range(n):
+                            m[t][i] = red(m[t][i] + m[t][j])
+                        piv = i
+                        moved = True
+                        break
+                if moved:
+                    break
+            if piv is None:
+                raise DegenerateForm("singular")
+        if piv != k:
+            m[piv], m[k] = m[k], m[piv]
+            for row in m:
+                row[piv], row[k] = row[k], row[piv]
+        d = m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / d if p is None else m[i][k] * pow(d, -1, p) % p
+            if f:
+                for t in range(k, n):
+                    m[i][t] = red(m[i][t] - f * m[k][t])
+                for t in range(k, n):
+                    m[t][i] = red(m[t][i] - f * m[t][k])
+        diag.append(d)
+    return diag
+
+
+def _kernel_diagonal(gram, p: int | None = None) -> list:
+    """D_k / D_(k-1) from the kernel's leading minors, for an integer Gram."""
+    minors = gwcore._eliminate([[x if p is None else x % p for x in row] for row in gram], p)
+    if p is None:
+        return [Fraction(d, prev) for d, prev in zip(minors, [1] + minors)]
+    return [d * pow(prev, -1, p) % p for d, prev in zip(minors, [1] + minors)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DegenerateForm:
+        return "degenerate"
+
+
+def _random_symmetric(rng: random.Random, n: int, values, zero_diagonal: bool = False) -> list:
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                m[i][j] = m[j][i] = rng.choice(values)
+    return m
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seeds)
+def test_kernel_matches_reference_elimination_over_q(seed: int) -> None:
+    rng = random.Random(seed)
+    n = rng.randint(1, 7)
+    if rng.random() < 0.5:
+        gram = random_symmetric_nondegenerate(rng, n)
+    else:
+        gram = _random_symmetric(rng, n, range(-3, 4))
+    ref = _outcome(_reference_diagonal, gram)
+    # the same pivots give the same raw diagonal, not just the same classes
+    assert _outcome(_kernel_diagonal, gram) == ref
+    if ref != "degenerate":
+        assert diagonalize(gram).entries == QForm.make(Q, ref).entries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seeds)
+def test_kernel_matches_reference_on_zero_diagonal_grams(seed: int) -> None:
+    # every pivot of these starts with the symmetric row-add move
+    rng = random.Random(seed)
+    gram = _random_symmetric(rng, rng.randint(2, 7), (-2, -1, 0, 0, 1, 2), zero_diagonal=True)
+    ref = _outcome(_reference_diagonal, gram)
+    assert _outcome(_kernel_diagonal, gram) == ref
+    if ref != "degenerate":
+        assert diagonalize(gram).entries == QForm.make(Q, ref).entries
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seeds)
+def test_kernel_matches_reference_on_fraction_grams(seed: int) -> None:
+    rng = random.Random(seed)
+    values = [Fraction(a, b) for a in range(-4, 5) for b in (1, 2, 3, 4, 6)]
+    gram = _random_symmetric(rng, rng.randint(1, 6), values, zero_diagonal=rng.random() < 0.3)
+    ref = _outcome(_reference_diagonal, gram)
+    got = _outcome(lambda g: diagonalize(g).entries, gram)
+    assert got == (ref if ref == "degenerate" else QForm.make(Q, ref).entries)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seeds)
+def test_kernel_matches_reference_over_fp(seed: int) -> None:
+    rng = random.Random(seed)
+    p = rng.choice((3, 5, 7, 11, 13))
+    n = rng.randint(1, 7)
+    # small entries make zeros mod p, and so swaps and moves, common
+    gram = _random_symmetric(rng, n, range(-p, p + 1), zero_diagonal=rng.random() < 0.3)
+    ref = _outcome(_reference_diagonal, gram, p)
+    assert _outcome(_kernel_diagonal, gram, p) == ref
+    got = _outcome(lambda g: diagonalize(g, Fp(p)).entries, gram)
+    assert got == (ref if ref == "degenerate" else QForm.make(Fp(p), ref).entries)
+    # Fraction entries go through their residues
+    halves = [[Fraction(x, 2) for x in row] for row in gram]
+    got = _outcome(lambda g: diagonalize(g, Fp(p)).entries, halves)
+    ref = _outcome(_reference_diagonal, halves, p)
+    assert got == (ref if ref == "degenerate" else QForm.make(Fp(p), ref).entries)
+
+
 # -------------------------------------------------------- hilbert symbol
 
 
@@ -197,6 +341,33 @@ def test_hilbert_product_formula(a: int, b: int) -> None:
     for place in _places_for(a, b):
         product *= hilbert_symbol(a, b, place)
     assert product == 1
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(st.fractions(min_value=-60, max_value=60, max_denominator=12).filter(bool), min_size=2, max_size=2),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=12),
+)
+def test_hilbert_symbol_accepts_fractions_and_nonsquarefree_arguments(ab, c: int, d: int) -> None:
+    a, b = ab
+    for place in relevant_places([squarefree_part(a), squarefree_part(b)]):
+        expected = hilbert_symbol(squarefree_part(a), squarefree_part(b), place)
+        assert hilbert_symbol(a, b, place) == expected
+        assert hilbert_symbol(a * c * c, b / (d * d), place) == expected
+        assert hilbert_symbol(a.numerator * a.denominator * d * d, b, place) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=-400, max_value=400).filter(bool), min_size=1, max_size=9))
+def test_prefix_product_hasse_matches_pairwise_product(values: list) -> None:
+    entries = QForm.make(Q, values).entries
+    for place in relevant_places(entries):
+        pairwise = 1
+        for i in range(len(entries)):
+            for j in range(i + 1, len(entries)):
+                pairwise *= hilbert_symbol(entries[i], entries[j], place)
+        assert gwcore._hasse_at(entries, place) == pairwise
 
 
 # ------------------------------------------------------------ invariants

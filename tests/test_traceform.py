@@ -183,6 +183,11 @@ def test_serre_shape_of_odd_cyclotomic_trace_form(p: int) -> None:
     assert serre_w2_check(p)
 
 
+@pytest.mark.parametrize("check", [verify_Tp, serre_w2_check, verify_bayer_suarez])
+def test_classical_identities_at_p_101(check) -> None:
+    assert check(101)
+
+
 def test_a_lattice_grams() -> None:
     # a_lattice_gram(n) is the Gram matrix of A_(n-1), size (n-1) x (n-1)
     assert a_lattice_gram(3) == ((2, -1), (-1, 2))
