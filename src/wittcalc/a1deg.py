@@ -5,6 +5,9 @@ the Bezout form: the symmetric matrix (c_jk) of coefficients of
 
     (A(X)B(Y) - A(Y)B(X)) / (X - Y)  =  sum c_jk X^j Y^k.
 
+It is built over Z from (LA, LB), with L the lcm of the coefficient
+denominators, and then divided by L^2, since Bez(LA, LB) = L^2 Bez(A, B).
+
 The G family G(m, +-) is built from the real and imaginary parts of
 (t +- i)^m, via exact Gaussian-integer pairs (re, im) with i^2 = -1;
 no floating point or complex numbers are involved.
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from . import qpoly
@@ -82,33 +85,24 @@ def build_G(m: int, sign: int) -> RationalMapP1:
 
 def bezout_form(f: RationalMapP1) -> list[list[Fraction]]:
     """Symmetric Bezout matrix of f, size deg(A) x deg(A)."""
-    a, b = f.num, f.den
     n = f.degree
-    # p[i] = coefficient of X^i, a polynomial in Y
-    p = []
-    for i in range(n + 1):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        row = [0] * (n + 1)
-        for j in range(n + 1):
-            aj = a[j] if j < len(a) else 0
-            bj = b[j] if j < len(b) else 0
-            row[j] = Fraction(ai * bj - bi * aj)
-        p.append(tuple(row))
-    # synthetic division of sum p[i] X^i by (X - Y): quotient coefficients
-    # q[i] (each a polynomial in Y) satisfy q[i-1] = p[i] + Y*q[i]
-    q: list[tuple] = [()] * n
-    carry: tuple = ()
-    for i in range(n, 0, -1):
-        carry = qpoly.add(p[i], qpoly.mul((0, 1), carry))
-        q[i - 1] = carry
-    rem = qpoly.add(p[0], qpoly.mul((0, 1), carry))
-    assert rem == (), "Bezout division must be exact"
-    matrix = []
-    for i in range(n):
-        row = [Fraction(q[i][k]) if k < len(q[i]) else Fraction(0) for k in range(n)]
-        matrix.append(row)
-    return matrix
+    scale = lcm(*(c.denominator for c in f.num + f.den))
+    a = [int(c * scale) for c in f.num] + [0] * (n + 1 - len(f.num))
+    b = [int(c * scale) for c in f.den] + [0] * (n + 1 - len(f.den))
+    # synthetic division of sum_i (a_i B(Y) - b_i A(Y)) X^i by X - Y: the
+    # quotient rows q_i (polynomials in Y) satisfy
+    # q_(i-1) = a_i B(Y) - b_i A(Y) + Y*q_i
+    rows: list[list[int]] = [[]] * n
+    q = [0] * (n + 1)
+    for i in range(n, -1, -1):
+        ai, bi = a[i], b[i]
+        q = [ai * b[j] - bi * a[j] + (q[j - 1] if j else 0) for j in range(n + 1)]
+        if i:
+            rows[i - 1] = q
+    # q is now the remainder, and no row may reach Y^n
+    assert not any(q) and not any(r[n] for r in rows), "Bezout division must be exact"
+    sq = scale * scale
+    return [[Fraction(x, sq) for x in r[:n]] for r in rows]
 
 
 def a1_degree(f: RationalMapP1) -> GWClass:

@@ -20,9 +20,13 @@ from math import gcd, lcm
 
 from .errors import FactorizationLimit, InvalidEntry
 
-# Trial division handles everything this package produces in practice;
-# the rho fallback keeps large accidental cofactors from hanging us.
-_TRIAL_BOUND = 10**6
+# Trial division strips the small primes; rho splits what is left.  A
+# higher bound only pays off for cofactors with no prime below it, and
+# those cost about bound/2 Python iterations each.
+_TRIAL_BOUND = 2**10
+
+# rho steps whose |x - y| are multiplied together before one gcd is taken
+_RHO_BATCH = 128
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -51,24 +55,36 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's variant with deterministic restarts; n must be odd, composite.
+    """A proper factor of n (odd, composite): Brent's cycle search with
+    one gcd per batch of steps and deterministic restarts."""
     for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = _gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = _gcd(abs(x - ys), n)
+        if g != n:
+            return g
     raise FactorizationLimit(f"rho failed to split {n}")
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+# the gcd rho calls, looked up at call time so that it can be replaced
+_gcd = gcd
 
 
 @lru_cache(maxsize=None)

@@ -27,6 +27,7 @@ from wittcalc import (
     bezout_form,
     build_G,
     derivative_identity_check,
+    diagonalize,
     gaussian_power,
     gw_equal,
     gw_mul,
@@ -36,6 +37,7 @@ from wittcalc import (
     trace_form_Q4p,
     witt_equal,
 )
+from wittcalc import qpoly
 from wittcalc.qpoly import deg, gcd_monic, norm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -165,3 +167,65 @@ def test_bezout_matrix_is_symmetric(seed: int) -> None:
     m = bezout_form(f)
     assert m == [list(row) for row in zip(*m)]
     assert len(m) == deg(f.num)
+
+
+# ------------------------------------------- reference Bezout matrix over Q
+
+
+def _reference_bezout_form(f: RationalMapP1) -> list[list[Fraction]]:
+    """The Bezout matrix by Fraction synthetic division over Q[Y]."""
+    a, b = f.num, f.den
+    n = f.degree
+    p = []
+    for i in range(n + 1):
+        ai = a[i] if i < len(a) else 0
+        bi = b[i] if i < len(b) else 0
+        row = [0] * (n + 1)
+        for j in range(n + 1):
+            aj = a[j] if j < len(a) else 0
+            bj = b[j] if j < len(b) else 0
+            row[j] = Fraction(ai * bj - bi * aj)
+        p.append(tuple(row))
+    q: list[tuple] = [()] * n
+    carry: tuple = ()
+    for i in range(n, 0, -1):
+        carry = qpoly.add(p[i], qpoly.mul((0, 1), carry))
+        q[i - 1] = carry
+    assert qpoly.add(p[0], qpoly.mul((0, 1), carry)) == ()
+    return [[Fraction(q[i][k]) if k < len(q[i]) else Fraction(0) for k in range(n)] for i in range(n)]
+
+
+def _rational_pointed_map(rng: random.Random) -> RationalMapP1 | None:
+    def coeff() -> Fraction:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+    n = rng.randint(1, 5)
+    num = [coeff() for _ in range(n)] + [Fraction(rng.randint(1, 6), rng.randint(1, 6))]
+    den = [coeff() for _ in range(rng.randint(0, n - 1))] + [Fraction(rng.randint(1, 6), rng.randint(1, 6))]
+    if deg(gcd_monic(norm(tuple(num)), norm(tuple(den)))) != 0:
+        return None
+    return RationalMapP1.make(num, den)
+
+
+def _assert_same_matrix(got: list[list[Fraction]], ref: list[list[Fraction]]) -> None:
+    assert got == ref
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seeds)
+def test_bezout_matrix_matches_reference_on_rational_maps(seed: int) -> None:
+    f = _rational_pointed_map(random.Random(seed))
+    assume(f is not None)
+    _assert_same_matrix(bezout_form(f), _reference_bezout_form(f))
+    ref_degree = GWClass.make(Q, diagonalize(_reference_bezout_form(f), Q).entries, ())
+    assert a1_degree(f) == ref_degree
+
+
+@pytest.mark.parametrize("m", range(1, 25))
+def test_bezout_matrix_matches_reference_on_gaussian_family(m: int) -> None:
+    for sign in (1, -1):
+        f = build_G(m, sign)
+        _assert_same_matrix(bezout_form(f), _reference_bezout_form(f))
+        ref_degree = GWClass.make(Q, diagonalize(_reference_bezout_form(f), Q).entries, ())
+        assert a1_degree(f) == ref_degree
