@@ -14,23 +14,26 @@ no floating point or complex numbers are involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
 from . import qpoly
 from .errors import InvalidEntry, NotCoprime, NotPointed
-from .fields import Q, is_prime
+from .fields import Frozen, Q, is_prime
 from .gwcore import GWClass, diagonalize
 
 
-@dataclass(frozen=True)
-class RationalMapP1:
+class RationalMapP1(Frozen):
     """A pointed self-map A/B of P^1: coprime, deg A > deg B, deg A >= 1."""
 
+    _fields = ("num", "den")
     num: tuple
     den: tuple
+
+    def __init__(self, num: tuple, den: tuple) -> None:
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @staticmethod
     def make(num: Sequence, den: Sequence) -> "RationalMapP1":
@@ -49,12 +52,16 @@ class RationalMapP1:
         return qpoly.deg(self.num)
 
 
-@dataclass(frozen=True)
-class GaussianPair:
+class GaussianPair(Frozen):
     """Integer polynomials (re, im) standing for re(t) + i*im(t)."""
 
+    _fields = ("re", "im")
     re: tuple
     im: tuple
+
+    def __init__(self, re: tuple, im: tuple) -> None:
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     def __mul__(self, other: "GaussianPair") -> "GaussianPair":
         return GaussianPair(

@@ -22,7 +22,6 @@ etilde^2 = 4 (p*e)^2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     InvalidEntry,
     UnsupportedTensor,
 )
-from .fields import FieldSpec, Q
+from .fields import FieldSpec, Frozen, Q
 from .gwcore import (
     GWClass,
     format_gw_grouped,
@@ -50,46 +49,58 @@ from .gwcore import (
 # bundle expressions
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(Frozen):
     """A rank-2 generator bundle E_i with trivialized determinant."""
 
+    _fields = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
+    def __init__(self, index: int) -> None:
+        if index < 1:
             raise InvalidEntry("generator indices start at 1")
+        object.__setattr__(self, "index", index)
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Frozen):
+    _fields = ("parts",)
     parts: tuple
 
+    def __init__(self, parts: tuple) -> None:
+        object.__setattr__(self, "parts", parts)
 
-@dataclass(frozen=True)
-class Tensor:
+
+class Tensor(Frozen):
+    _fields = ("left", "right")
     left: object
     right: object
 
+    def __init__(self, left: object, right: object) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
-class Sym:
+
+class Sym(Frozen):
+    _fields = ("power", "base")
     power: int
     base: object
 
-    def __post_init__(self) -> None:
-        if self.power < 1:
+    def __init__(self, power: int, base: object) -> None:
+        if power < 1:
             raise InvalidEntry("symmetric power must be >= 1")
+        object.__setattr__(self, "power", power)
+        object.__setattr__(self, "base", base)
 
 
-@dataclass(frozen=True)
-class DetTwist:
+class DetTwist(Frozen):
+    _fields = ("sign", "base")
     sign: int
     base: object
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, base: object) -> None:
+        if sign not in (1, -1):
             raise InvalidEntry("determinant twist sign must be +1 or -1")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "base", base)
 
 
 BundleExpr = Union[Gen, Sum, Tensor, Sym, DetTwist]
@@ -370,15 +381,23 @@ def double_factorial(m: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class OtildeClass:
+class OtildeClass(Frozen):
     """Euler class of the weight-m rank-2 bundle, as an integer multiple
     of p*e (odd m) or of the twisted class etilde (even m)."""
 
+    _fields = ("weight", "orientation", "coefficient", "generator")
     weight: int
     orientation: int
     coefficient: int
     generator: str  # "pe" or "etilde"
+
+    def __init__(
+        self, weight: int, orientation: int, coefficient: int, generator: str
+    ) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "orientation", orientation)
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "generator", generator)
 
 
 def euler_Otilde(m: int, orientation: int = 1) -> OtildeClass:
@@ -639,10 +658,15 @@ def pontryagin_total(
 
 _TOKEN_RE = re.compile(r"\s*(Sym\(|det-\(|det\+\(|\(\+\)|\(x\)|E\d+|\d+|\(|\)|,)")
 
+# deepest nesting parse_bundle accepts, so that the recursive walkers over
+# the expression stay far below the recursion limit
+_MAX_BUNDLE_DEPTH = 100
+
 
 def parse_bundle(text: str) -> BundleExpr:
     """Parse the bundle syntax: E1, Sym(3,E1), E1 (+) E2, E1 (x) E2,
-    det-(Sym(2,E1)), with (x) binding tighter than (+)."""
+    det-(Sym(2,E1)), with (x) binding tighter than (+).  Brackets and
+    chained (x) together nest at most 100 deep."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -653,33 +677,44 @@ def parse_bundle(text: str) -> BundleExpr:
             break
         tokens.append(m.group(1))
         pos = m.end()
+    i = 0  # index of the next unread token
 
     def peek() -> str | None:
-        return tokens[0] if tokens else None
+        return tokens[i] if i < len(tokens) else None
 
     def pop(expected: str | None = None) -> str:
-        if not tokens:
+        nonlocal i
+        if i == len(tokens):
             raise FormSyntaxError("unexpected end of bundle expression")
-        tok = tokens.pop(0)
+        tok = tokens[i]
+        i += 1
         if expected is not None and tok != expected:
             raise FormSyntaxError(f"expected {expected!r}, got {tok!r}")
         return tok
 
-    def parse_sum() -> BundleExpr:
-        parts = [parse_tensor()]
+    def nest(depth: int) -> int:
+        if depth == _MAX_BUNDLE_DEPTH:
+            raise FormSyntaxError(
+                f"bundle expression nested deeper than {_MAX_BUNDLE_DEPTH}"
+            )
+        return depth + 1
+
+    def parse_sum(depth: int) -> BundleExpr:
+        parts = [parse_tensor(depth)]
         while peek() == "(+)":
             pop()
-            parts.append(parse_tensor())
+            parts.append(parse_tensor(depth))
         return parts[0] if len(parts) == 1 else Sum(tuple(parts))
 
-    def parse_tensor() -> BundleExpr:
-        node = parse_atom()
+    def parse_tensor(depth: int) -> BundleExpr:
+        node = parse_atom(depth)
         while peek() == "(x)":
             pop()
-            node = Tensor(node, parse_atom())
+            depth = nest(depth)
+            node = Tensor(node, parse_atom(depth))
         return node
 
-    def parse_atom() -> BundleExpr:
+    def parse_atom(depth: int) -> BundleExpr:
         tok = pop()
         if tok.startswith("E"):
             return Gen(int(tok[1:]))
@@ -688,24 +723,24 @@ def parse_bundle(text: str) -> BundleExpr:
             if not power.isdigit():
                 raise FormSyntaxError(f"expected an integer power, got {power!r}")
             pop(",")
-            inner = parse_sum()
+            inner = parse_sum(nest(depth))
             pop(")")
             return Sym(int(power), inner)
         if tok == "det-(":
-            inner = parse_sum()
+            inner = parse_sum(nest(depth))
             pop(")")
             return DetTwist(-1, inner)
         if tok == "det+(":
-            inner = parse_sum()
+            inner = parse_sum(nest(depth))
             pop(")")
             return DetTwist(1, inner)
         if tok == "(":
-            inner = parse_sum()
+            inner = parse_sum(nest(depth))
             pop(")")
             return inner
         raise FormSyntaxError(f"unexpected token {tok!r}")
 
-    out = parse_sum()
-    if tokens:
-        raise FormSyntaxError(f"trailing tokens: {' '.join(tokens)}")
+    out = parse_sum(0)
+    if i < len(tokens):
+        raise FormSyntaxError(f"trailing tokens: {' '.join(tokens[i:])}")
     return out

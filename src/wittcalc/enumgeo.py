@@ -17,12 +17,11 @@ signature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .charclass import double_factorial
 from .errors import InvalidEntry, NotSymmetric, ParityViolation, WrongDegree
-from .fields import Q
+from .fields import Frozen, Q
 from .gwcore import GWClass, gw_add, gw_mul, gw_scalar, gw_sub
 
 
@@ -38,15 +37,15 @@ def _homog_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SymPoly2:
+class SymPoly2(Frozen):
     """A homogeneous symmetric integer polynomial in two variables,
     stored as the coefficients of x^(d-i) y^i for i = 0..d."""
 
+    _fields = ("coefficients",)
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coefficients)
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        cs = tuple(int(c) for c in coefficients)
         if cs != tuple(reversed(cs)):
             raise NotSymmetric("coefficients must be palindromic")
         object.__setattr__(self, "coefficients", cs)
@@ -125,13 +124,14 @@ def _refined_count_class(total: int, signed: int) -> GWClass:
 # cellular spaces
 
 
-@dataclass(frozen=True)
-class ProjectiveSpace:
+class ProjectiveSpace(Frozen):
+    _fields = ("n",)
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int) -> None:
+        if n < 0:
             raise InvalidEntry("need n >= 0")
+        object.__setattr__(self, "n", n)
 
     def cell_dimensions(self) -> list[int]:
         return list(range(self.n + 1))
@@ -140,18 +140,20 @@ class ProjectiveSpace:
         return f"P{self.n}"
 
 
-@dataclass(frozen=True)
-class Grassmannian:
+class Grassmannian(Frozen):
     """Gr(k, n) for k = 2: cells are partitions (a, b), n-2 >= a >= b >= 0."""
 
+    _fields = ("k", "n")
     k: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.k != 2:
+    def __init__(self, k: int, n: int) -> None:
+        if k != 2:
             raise InvalidEntry("only Grassmannians of planes are modeled")
-        if self.n < 2:
+        if n < 2:
             raise InvalidEntry("need n >= 2")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
 
     def cell_dimensions(self) -> list[int]:
         return [
@@ -164,9 +166,12 @@ class Grassmannian:
         return f"Gr({self.k},{self.n})"
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Frozen):
+    _fields = ("factors",)
     factors: tuple
+
+    def __init__(self, factors: tuple) -> None:
+        object.__setattr__(self, "factors", factors)
 
     def cell_dimensions(self) -> list[int]:
         dims = [0]
@@ -178,9 +183,12 @@ class Product:
         return " x ".join(str(f) for f in self.factors)
 
 
-@dataclass(frozen=True)
-class ExplicitCells:
+class ExplicitCells(Frozen):
+    _fields = ("dimensions",)
     dimensions: tuple[int, ...]
+
+    def __init__(self, dimensions: tuple[int, ...]) -> None:
+        object.__setattr__(self, "dimensions", dimensions)
 
     def cell_dimensions(self) -> list[int]:
         return list(self.dimensions)

@@ -13,7 +13,6 @@ Characteristic 2 is rejected everywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -155,24 +154,60 @@ def smallest_nonresidue(p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Frozen:
+    """Base of the immutable value classes.
+
+    A subclass lists its attributes, in constructor order, in `_fields`
+    and sets them in its own `__init__` with `object.__setattr__`.
+    Equality, hashing and repr work on the tuple of those attributes
+    exactly as for a frozen dataclass, and assigning or deleting an
+    attribute raises AttributeError.  No code is generated at import.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FieldSpec(Frozen):
     """One of the supported base fields: Q, R, C, or F_p with p an odd prime."""
 
+    _fields = ("kind", "p")
     kind: str
-    p: int | None = None
+    p: int | None
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("Q", "R", "C", "Fp"):
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "Fp":
-            if self.p is None or self.p == 2 or not is_prime(self.p):
+    def __init__(self, kind: str, p: int | None = None) -> None:
+        if kind not in ("Q", "R", "C", "Fp"):
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "Fp":
+            if p is None or p == 2 or not is_prime(p):
                 raise InvalidEntry(
                     "finite base fields must have odd prime order "
                     "(characteristic 2 is rejected)"
                 )
-        elif self.p is not None:
-            raise ValueError(f"field {self.kind} takes no prime parameter")
+        elif p is not None:
+            raise ValueError(f"field {kind} takes no prime parameter")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
 
     @property
     def characteristic(self) -> int:

@@ -21,7 +21,6 @@ is safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -37,6 +36,7 @@ from .errors import (
 from .fields import (
     FieldSpec,
     Fp,
+    Frozen,
     Q,
     factorize,
     is_prime,
@@ -58,12 +58,16 @@ def _entry_sort_key(a: int) -> tuple:
     return (abs(a), 0 if a > 0 else 1)
 
 
-@dataclass(frozen=True)
-class QForm:
+class QForm(Frozen):
     """A nondegenerate diagonal form <a_1,...,a_n> with canonical entries."""
 
+    _fields = ("field", "entries")
     field: FieldSpec
     entries: tuple[int, ...]
+
+    def __init__(self, field: FieldSpec, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def make(field: FieldSpec, entries: Iterable[Scalar]) -> "QForm":
@@ -263,14 +267,22 @@ def relevant_places(entries: Iterable[int]) -> list[Place]:
     return [INF, 2] + sorted(odd)
 
 
-@dataclass(frozen=True)
-class FormInvariants:
+class FormInvariants(Frozen):
     """Classifying data of a form; hasse records the places with value -1."""
 
+    _fields = ("rank", "signature", "disc", "hasse")
     rank: int
     signature: int | None
     disc: int
     hasse: Mapping[Place, int]
+
+    def __init__(
+        self, rank: int, signature: int | None, disc: int, hasse: Mapping[Place, int]
+    ) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "hasse", hasse)
 
 
 def _hasse_at(entries: Sequence[int], place: Place) -> int:
@@ -321,13 +333,18 @@ def is_isometric(q1: QForm, q2: QForm) -> bool:
 # Grothendieck-Witt classes
 
 
-@dataclass(frozen=True)
-class GWClass:
+class GWClass(Frozen):
     """A virtual form plus - minus, structurally reduced (no shared entries)."""
 
+    _fields = ("field", "plus", "minus")
     field: FieldSpec
     plus: QForm
     minus: QForm
+
+    def __init__(self, field: FieldSpec, plus: QForm, minus: QForm) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "plus", plus)
+        object.__setattr__(self, "minus", minus)
 
     @staticmethod
     def make(
@@ -431,8 +448,7 @@ def hyperbolic(field: FieldSpec = Q) -> GWClass:
 # Witt classes and second residues
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(Frozen):
     """Canonical Witt-group data.
 
     data payloads: over C the rank mod 2; over R the signature; over F_p
@@ -441,8 +457,13 @@ class WittClass:
     odd primes with nonzero second residue).
     """
 
+    _fields = ("field", "data")
     field: FieldSpec
     data: tuple
+
+    def __init__(self, field: FieldSpec, data: tuple) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "data", data)
 
     @property
     def is_zero(self) -> bool:

@@ -9,12 +9,11 @@ extracted from the n-th cyclotomic polynomial.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import qpoly
 from .errors import InseparablePolynomial, InvalidEntry
-from .fields import Q, is_prime
+from .fields import Frozen, Q, is_prime
 from .gwcore import QForm, diagonalize, is_isometric, perp, unit_form
 
 
@@ -45,19 +44,19 @@ def cyclotomic_poly(n: int) -> tuple:
     return tuple(quo)
 
 
-@dataclass(frozen=True)
-class MonicIntPoly:
+class MonicIntPoly(Frozen):
     """A monic, separable polynomial with integer coefficients."""
 
+    _fields = ("coefficients",)
     coefficients: tuple
 
-    def __post_init__(self) -> None:
-        cs = qpoly.as_ints(qpoly.norm(self.coefficients))
+    def __init__(self, coefficients: tuple) -> None:
+        cs = qpoly.as_ints(qpoly.norm(coefficients))
         if len(cs) < 2 or cs[-1] != 1:
             raise InvalidEntry("expected a monic polynomial of degree >= 1")
-        object.__setattr__(self, "coefficients", cs)
         if qpoly.deg(qpoly.gcd_monic(cs, qpoly.deriv(cs))) > 0:
             raise InseparablePolynomial("polynomial has a repeated root")
+        object.__setattr__(self, "coefficients", cs)
 
     @property
     def degree(self) -> int:

@@ -9,6 +9,7 @@ generators e = e1^2 - e2^2 with p = 1 + 2(e1^2+e2^2) + (e1^2-e2^2)^2.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,22 @@ def test_parse_bundle_rejects_garbage() -> None:
     # tokenizes, but the index is out of range
     with pytest.raises(InvalidEntry):
         parse_bundle("E0")
+
+
+def test_parse_bundle_caps_nesting_depth() -> None:
+    assert parse_bundle("(" * 100 + "E1" + ")" * 100) == Gen(1)
+    chain = parse_bundle(" (x) ".join(["E1"] * 101))  # 100 chained (x)
+    assert isinstance(chain, Tensor) and chain.right == Gen(1)
+    for text in (
+        "(" * 101 + "E1" + ")" * 101,
+        "(" * 3000 + "E1" + ")" * 3000,
+        "det-(" * 3000 + "E1" + ")" * 3000,
+        " (x) ".join(["E1"] * 3000),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(FormSyntaxError, match="nested deeper than 100"):
+            parse_bundle(text)
+        assert time.perf_counter() - start < 1.0
 
 
 # --------------------------------------------------- weight-2 table rows

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import time
 
 import pytest
 
@@ -154,6 +155,16 @@ def test_domain_errors_exit_two_with_error_name() -> None:
         code, _, err = run(*argv)
         assert code == 2, argv
         assert name in err, (argv, err)
+
+
+def test_deeply_nested_bundle_exits_two_without_traceback() -> None:
+    deep = "(" * 3000 + "E1" + ")" * 3000
+    start = time.perf_counter()
+    code, out, err = run("charclass", "euler", deep)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "FormSyntaxError" in err and "Traceback" not in err
+    assert run("charclass", "euler", "(" * 100 + "E1" + ")" * 100) == (0, "e1", "")
 
 
 def test_rho_failure_exits_two(monkeypatch) -> None:

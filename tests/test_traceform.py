@@ -82,6 +82,14 @@ def test_cyclotomic_105_has_coefficient_minus_two() -> None:
     assert -2 in cyclotomic_poly(105)
 
 
+def test_cyclotomic_matches_sympy() -> None:
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 201):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n) == tuple(int(c) for c in expected), n
+
+
 def test_cyclotomic_product_over_divisors() -> None:
     # prod over d | n of Phi_d = x^n - 1
     for n in (6, 12, 30):
