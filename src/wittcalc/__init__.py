@@ -75,6 +75,7 @@ from .errors import (
     NotPointed,
     NotSymmetric,
     ParityViolation,
+    ResourceLimit,
     UnsupportedTensor,
     VerificationFailed,
     WrongDegree,

@@ -2,17 +2,33 @@
 
 Values live in a graded polynomial ring over the Witt ring (optionally
 the GW ring) of the base field, with one degree-2 Euler-class generator
-e_i per rank-2 generator bundle.  Closed formulas implemented:
+e_i per rank-2 generator bundle E_i.
 
-* symmetric powers of one generator: e(Sym^m E) = m!! e^((m+1)/2) for
-  odd m and 0 for even m; p(Sym^m E) = prod_i (1 + (m-2i)^2 e^2);
-* a tensor product of two generators: e = e1^2 - e2^2,
-  p = 1 + 2(e1^2 + e2^2) + (e1^2 - e2^2)^2;
-* direct sums multiply both classes; odd-rank pieces kill the Euler
-  class; a determinant twist flips its sign and fixes p.
+Both classes come from the splitting principle (Ananyevskiy's SL
+version, refined by Levine for symmetric powers).  One fold splits an
+expression into rank-2 pieces, and the Euler class of each piece is a
+"root", an integer linear form in the e_i:
 
-Mixed symmetric powers Sym^a E (x) Sym^b E' are refused: no closed rule
-for them is implemented, and silently multiplying would be wrong.
+    E_i            e_i
+    Sym^m E_i      (m - 2j) e_i for j = 0..floor(m/2); for even m the
+                   root 0, the trivial line, comes first
+    E_i (x) E_k    e_i + e_k and e_i - e_k
+    A (+) B        the roots of A, then the roots of B
+    det-(A)        the roots of A, with the orientation reversed;
+                   det+(A) changes nothing
+
+The Euler class is the product of the roots, negated once per det-, and
+the total Pontryagin class is the product of 1 + x^2 over the roots x.  This gives the closed
+forms e(Sym^m E) = m!! e^((m+1)/2) for odd m and 0 for even m,
+p(Sym^m E) = prod_j (1 + (m-2j)^2 e^2), e(E1 (x) E2) = e1^2 - e2^2 and
+p(E1 (x) E2) = 1 + 2(e1^2 + e2^2) + (e1^2 - e2^2)^2.  The products
+follow the expression tree, one per direct sum: in W mode a coefficient
+is dropped as soon as it is Witt-zero, so the grouping of the products
+shows in the printed integers.
+
+Sym of anything but a generator, and tensor products of anything but
+two generators, are refused: no rule for them is implemented, and
+silently multiplying would be wrong.
 
 The rank-2 classes of the weight-m line pairings come in two kinds: an
 "untwisted" multiple of the pulled-back base class p*e for odd m, and a
@@ -22,7 +38,7 @@ etilde^2 = 4 (p*e)^2.
 from __future__ import annotations
 
 import re
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import (
     CharacteristicConstraint,
@@ -106,39 +122,83 @@ class DetTwist(Frozen):
 BundleExpr = Union[Gen, Sum, Tensor, Sym, DetTwist]
 
 
-def rank(expr: BundleExpr) -> int:
-    if isinstance(expr, Gen):
-        return 2
-    if isinstance(expr, Sum):
-        return sum(rank(p) for p in expr.parts)
-    if isinstance(expr, Tensor):
-        return rank(expr.left) * rank(expr.right)
-    if isinstance(expr, Sym):
-        return expr.power + 1
-    if isinstance(expr, DetTwist):
-        return rank(expr.base)
-    raise InvalidEntry(f"not a bundle expression: {expr!r}")
+# marks the end of a det- twist's roots in _split's nested lists
+_DET_MINUS = object()
 
 
-def gen_labels(expr: BundleExpr) -> tuple[int, ...]:
-    out: set[int] = set()
+def _sym_roots(i: int, m: int) -> Iterable[dict[int, int]]:
+    """The roots (m - 2j) e_i of Sym^m E_i, the zero root of an even m
+    first, so that an Euler class product stops at once."""
+    if m % 2 == 0:
+        yield {i: 0}
+    for c in range(m, 0, -2):
+        yield {i: c}
 
-    def walk(node: BundleExpr) -> None:
+
+def _split(
+    expr: BundleExpr, characteristic: int
+) -> tuple[int, tuple[int, ...], Iterable, list[Exception]]:
+    """The splitting-principle fold: (rank, generator labels, roots,
+    refusals).
+
+    Roots are the integer linear forms {label: coefficient} of the module
+    docstring's table, nested as the tree is: a node gives an iterable of
+    roots, a direct sum the list of its parts' iterables, and det-(A)
+    the list [roots of A, _DET_MINUS].  A Sym's roots are generated
+    lazily, so the rank alone costs one step per node.  A non-expression
+    node is refused at once; the other refusals are collected in
+    pre-order for the caller to rank."""
+    labels: set[int] = set()
+    refusals: list[Exception] = []
+
+    def walk(node: BundleExpr) -> tuple[int, Iterable]:
         if isinstance(node, Gen):
-            out.add(node.index)
-        elif isinstance(node, Sum):
-            for p in node.parts:
-                walk(p)
-        elif isinstance(node, Tensor):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Sym, DetTwist)):
-            walk(node.base)
-        else:
-            raise InvalidEntry(f"not a bundle expression: {node!r}")
+            labels.add(node.index)
+            return 2, [{node.index: 1}]
+        if isinstance(node, Sum):
+            parts = [walk(p) for p in node.parts]
+            return sum(r for r, _ in parts), [roots for _, roots in parts]
+        if isinstance(node, Sym):
+            m = node.power
+            if characteristic and (2 * m) % characteristic == 0:
+                refusals.append(
+                    CharacteristicConstraint(
+                        f"Sym^{m} needs the characteristic prime to {2 * m}"
+                    )
+                )
+            if not isinstance(node.base, Gen):
+                refusals.append(
+                    UnsupportedTensor("Sym is only implemented on a generator bundle")
+                )
+                walk(node.base)
+                return m + 1, []
+            labels.add(node.base.index)
+            return m + 1, _sym_roots(node.base.index, m)
+        if isinstance(node, Tensor):
+            left, right = node.left, node.right
+            if not isinstance(left, Gen) or not isinstance(right, Gen):
+                refusals.append(
+                    UnsupportedTensor(
+                        "tensor products are only implemented for two generators"
+                    )
+                )
+                return walk(left)[0] * walk(right)[0], []
+            i, k = left.index, right.index
+            labels.update((i, k))
+            if i == k:  # the roots e_i + e_i = 2e_i and e_i - e_i = 0
+                return 4, [{i: 2}, {i: 0}]
+            return 4, [{i: 1, k: 1}, {i: 1, k: -1}]
+        if isinstance(node, DetTwist):
+            r, roots = walk(node.base)
+            return r, [roots, _DET_MINUS] if node.sign == -1 else roots
+        raise InvalidEntry(f"not a bundle expression: {node!r}")
 
-    walk(expr)
-    return tuple(sorted(out))
+    r, roots = walk(expr)
+    return r, tuple(sorted(labels)), roots, refusals
+
+
+def rank(expr: BundleExpr) -> int:
+    return _split(expr, 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -534,123 +594,59 @@ def _char_mul(x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
 # Euler and total Pontryagin classes of bundle expressions
 
 
-def _check_characteristic(expr: BundleExpr, field: FieldSpec) -> None:
-    ell = field.characteristic
-    if ell == 0:
-        return
+def _evaluate(
+    expr: BundleExpr, field: FieldSpec, mode: str, factor, oriented: bool
+) -> WittPoly:
+    """Product of factor(one, x) over the roots x of expr, one product
+    per root list, so that W-mode drops happen where the tree puts them;
+    an oriented class changes sign at each det-.
 
-    def walk(node: BundleExpr) -> None:
-        if isinstance(node, Sym):
-            if (2 * node.power) % ell == 0:
-                raise CharacteristicConstraint(
-                    f"Sym^{node.power} needs the characteristic prime to "
-                    f"{2 * node.power}"
-                )
-            walk(node.base)
-        elif isinstance(node, Sum):
-            for p in node.parts:
-                walk(p)
-        elif isinstance(node, Tensor):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, DetTwist):
-            walk(node.base)
+    Refusals rank: a non-expression node, then the first
+    CharacteristicConstraint, then a bad mode, then the first
+    UnsupportedTensor."""
+    _, gens, roots, refusals = _split(expr, field.characteristic)
+    for exc in refusals:
+        if isinstance(exc, CharacteristicConstraint):
+            raise exc
+    one = WittPoly.constant(1, gens, field, mode)
+    if refusals:
+        raise refusals[0]
+    units = {g: tuple(int(g == h) for h in gens) for g in gens}
 
-    walk(expr)
+    def product(items: Iterable) -> WittPoly:
+        out = one
+        for item in items:
+            if isinstance(item, dict):
+                x = WittPoly(field, gens, {units[g]: c for g, c in item.items()}, mode)
+                out = out * factor(one, x)
+            elif item is _DET_MINUS:
+                if oriented:
+                    out = -out
+            else:
+                out = out * product(item)
+            if out.is_zero:  # the remaining factors cannot change a zero
+                break
+        return out
+
+    return product(roots)
 
 
 def euler(expr: BundleExpr, field: FieldSpec = Q, mode: str = "W") -> WittPoly:
-    """Euler class of a bundle expression.
+    """Euler class of a bundle expression: the product of its roots,
+    negated once per det-.
 
-    Odd-rank expressions come out zero: the only odd-rank atoms are even
-    symmetric powers, whose Euler class vanishes, and a zero factor kills
-    every enclosing sum's product.
-    """
-    gens = gen_labels(expr)
-    _check_characteristic(expr, field)
-
-    def ev(node: BundleExpr) -> WittPoly:
-        if isinstance(node, Gen):
-            return WittPoly.gen(node.index, gens, field, mode)
-        if isinstance(node, Sum):
-            out = WittPoly.constant(1, gens, field, mode)
-            for p in node.parts:
-                out = out * ev(p)
-            return out
-        if isinstance(node, Sym):
-            if not isinstance(node.base, Gen):
-                raise UnsupportedTensor(
-                    "Sym is only implemented on a generator bundle"
-                )
-            m = node.power
-            if m % 2 == 0:
-                return WittPoly(field, gens, {}, mode)
-            e = WittPoly.gen(node.base.index, gens, field, mode)
-            out = WittPoly.constant(double_factorial(m), gens, field, mode)
-            for _ in range((m + 1) // 2):
-                out = out * e
-            return out
-        if isinstance(node, Tensor):
-            if not isinstance(node.left, Gen) or not isinstance(node.right, Gen):
-                raise UnsupportedTensor(
-                    "tensor products are only implemented for two generators"
-                )
-            e1 = WittPoly.gen(node.left.index, gens, field, mode)
-            e2 = WittPoly.gen(node.right.index, gens, field, mode)
-            return e1 * e1 - e2 * e2
-        if isinstance(node, DetTwist):
-            inner = ev(node.base)
-            return -inner if node.sign == -1 else inner
-        raise InvalidEntry(f"not a bundle expression: {node!r}")
-
-    return ev(expr)
+    Odd-rank expressions come out zero: each odd-rank piece is an even
+    symmetric power, whose first root is 0."""
+    return _evaluate(expr, field, mode, lambda one, x: x, True)
 
 
 def pontryagin_total(
     expr: BundleExpr, field: FieldSpec = Q, mode: str = "W"
 ) -> WittPoly:
-    """Total Pontryagin class of a bundle expression (Whitney-multiplicative
-    over sums, blind to determinant twists)."""
-    gens = gen_labels(expr)
-    _check_characteristic(expr, field)
-
-    def ev(node: BundleExpr) -> WittPoly:
-        one = WittPoly.constant(1, gens, field, mode)
-        if isinstance(node, Gen):
-            e = WittPoly.gen(node.index, gens, field, mode)
-            return one + e * e
-        if isinstance(node, Sum):
-            out = one
-            for p in node.parts:
-                out = out * ev(p)
-            return out
-        if isinstance(node, Sym):
-            if not isinstance(node.base, Gen):
-                raise UnsupportedTensor(
-                    "Sym is only implemented on a generator bundle"
-                )
-            m = node.power
-            e = WittPoly.gen(node.base.index, gens, field, mode)
-            e2 = e * e
-            out = one
-            for i in range(m // 2 + 1):
-                out = out * (one + e2.scale((m - 2 * i) ** 2))
-            return out
-        if isinstance(node, Tensor):
-            if not isinstance(node.left, Gen) or not isinstance(node.right, Gen):
-                raise UnsupportedTensor(
-                    "tensor products are only implemented for two generators"
-                )
-            e1 = WittPoly.gen(node.left.index, gens, field, mode)
-            e2 = WittPoly.gen(node.right.index, gens, field, mode)
-            sq1, sq2 = e1 * e1, e2 * e2
-            diff = sq1 - sq2
-            return one + (sq1 + sq2).scale(2) + diff * diff
-        if isinstance(node, DetTwist):
-            return ev(node.base)
-        raise InvalidEntry(f"not a bundle expression: {node!r}")
-
-    return ev(expr)
+    """Total Pontryagin class of a bundle expression: the product of
+    1 + x^2 over its roots x (Whitney-multiplicative over sums, blind to
+    determinant twists)."""
+    return _evaluate(expr, field, mode, lambda one, x: one + x * x, False)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +654,8 @@ def pontryagin_total(
 
 _TOKEN_RE = re.compile(r"\s*(Sym\(|det-\(|det\+\(|\(\+\)|\(x\)|E\d+|\d+|\(|\)|,)")
 
-# deepest nesting parse_bundle accepts, so that the recursive walkers over
-# the expression stay far below the recursion limit
+# deepest nesting parse_bundle accepts, so that the recursive fold over the
+# expression stays far below the recursion limit
 _MAX_BUNDLE_DEPTH = 100
 
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 2 on a domain error (the error class name is
-printed verbatim), 1 on a usage error.  Pass --json for a structured
-payload; form syntax inside the payload parses back with parse_form /
-parse_gw to values semantically equal to the human output.
+printed verbatim; running out of memory is reported as ResourceLimit), 1
+on a usage error.  Pass --json for a structured payload; form syntax
+inside the payload parses back with parse_form / parse_gw to values
+semantically equal to the human output.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import a1deg, charclass, enumgeo, gwcore, traceform
-from .errors import DomainError, FormSyntaxError
+from .errors import DomainError, FormSyntaxError, ResourceLimit
 from .fields import Q
 from .gwcore import (
     GWClass,
@@ -343,7 +344,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        return run(argv)
+        try:
+            return run(argv)
+        except MemoryError:
+            pass  # raise outside this block, so the failed call's frames are freed
+        raise ResourceLimit("the computation ran out of memory")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -73,3 +73,8 @@ class FormSyntaxError(DomainError):
 
 class FactorizationLimit(DomainError):
     """An integer could not be factored within the factoring method's limits."""
+
+
+class ResourceLimit(DomainError):
+    """A computation ran out of memory; the CLI reports it like any other
+    domain error instead of a traceback."""

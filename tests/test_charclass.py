@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittcalc import (
     BundleExpr,
+    C,
     CharacteristicConstraint,
     DetTwist,
     FormSyntaxError,
@@ -24,6 +25,7 @@ from wittcalc import (
     GWClass,
     Gen,
     Q,
+    R,
     Sum,
     Sym,
     Tensor,
@@ -398,3 +400,296 @@ def test_rendering() -> None:
     pt = pontryagin_total(Tensor(Gen(1), Gen(2)))
     assert str(pt) == "1 + 2*e1^2 + 2*e2^2 + e1^4 - 2*e1^2*e2^2 + e2^4"
     assert str(euler(Sym(2, Gen(1)))) == "0"
+
+
+# ----------------------------------------------------- refusal contract
+
+
+def test_rank_of_refused_expressions() -> None:
+    # rank is structural: it answers even where both classes refuse
+    assert rank(Tensor(Sym(3, Gen(2)), Gen(2))) == 8
+    assert rank(Sym(1, Sym(2, Gen(3)))) == 2
+
+
+@pytest.mark.parametrize("cls", [euler, pontryagin_total])
+def test_refusal_precedence(cls) -> None:
+    # a characteristic constraint outranks an earlier unsupported tensor
+    expr = parse_bundle("Sym(2,E1) (x) E1 (+) Sym(3,E2)")
+    with pytest.raises(CharacteristicConstraint) as info:
+        cls(expr, Fp(3))
+    assert str(info.value) == "Sym^3 needs the characteristic prime to 6"
+    # a non-expression node outranks every other refusal
+    with pytest.raises(InvalidEntry, match="not a bundle expression"):
+        cls(Sum((Sym(3, Gen(1)), 5)), Fp(3))
+    # the outermost unsupported node speaks first
+    with pytest.raises(UnsupportedTensor) as info:
+        cls(Tensor(Sym(2, Sum((Gen(1), Gen(2)))), Gen(1)))
+    assert str(info.value) == "tensor products are only implemented for two generators"
+
+
+def test_rank_of_a_non_expression_under_sym_is_refused() -> None:
+    # rank walks a Sym's base too, so the fold refuses what euler and
+    # pontryagin_total refuse
+    with pytest.raises(InvalidEntry, match="not a bundle expression: 5"):
+        rank(Sym(2, 5))
+
+
+def test_rank_does_not_build_sym_roots() -> None:
+    start = time.perf_counter()
+    assert rank(Sym(10**8, Gen(1))) == 10**8 + 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_euler_of_an_even_sym_stops_at_its_zero_root() -> None:
+    # the roots 40, 38, ... would build 40!! unary GW entries before 0
+    start = time.perf_counter()
+    assert euler(Sym(40, Gen(1))).is_zero
+    assert euler(parse_bundle("Sym(40,E1) (+) E2")).is_zero
+    assert euler(parse_bundle("E2 (+) det-(Sym(40,E1))"), Fp(7), "GW").is_zero
+    assert time.perf_counter() - start < 1.0
+
+
+def test_det_minus_of_a_rank_zero_expression_negates_one() -> None:
+    expr = DetTwist(-1, Sum(()))
+    assert str(euler(expr)) == "-1"
+    assert str(pontryagin_total(expr)) == "1"
+    assert str(euler(DetTwist(1, Sum(())))) == "1"
+
+
+@pytest.mark.parametrize("cls", [euler, pontryagin_total])
+def test_bad_mode_outranks_unsupported_tensor(cls) -> None:
+    with pytest.raises(InvalidEntry, match="coefficient mode"):
+        cls(Sym(2, Sum((Gen(1), Gen(2)))), Q, "X")
+
+
+def test_square_of_a_generator_splits_into_2e_and_zero() -> None:
+    expr = parse_bundle("E1 (x) E1")
+    assert str(euler(expr, Fp(5))) == "0"
+    assert str(pontryagin_total(expr, Fp(5))) == "1"
+    assert str(pontryagin_total(expr)) == "1 + 4*e1^2"
+
+
+# ------------------------------------------------------ W-mode drop points
+
+
+def test_witt_zero_coefficients_drop_over_C() -> None:
+    # 2 is Witt-zero over C
+    assert str(pontryagin_total(parse_bundle("E1 (x) E2"), C)) == "1 + e1^4 + e2^4"
+
+
+def test_no_drop_over_F7() -> None:
+    # W(F_7) holds Z/4, so 2 survives
+    assert (
+        str(pontryagin_total(parse_bundle("E1 (x) E2"), Fp(7)))
+        == "1 + 2*e1^2 + 2*e2^2 + e1^4 - 2*e1^2*e2^2 + e2^4"
+    )
+
+
+def test_drops_happen_after_every_product_over_F13() -> None:
+    # (1 + 25e2^2)(1 + 9e2^2) has the Witt-zero term 34*e2^2, dropped
+    # before the last factor (1 + e2^2); dropping once at the end of an
+    # integer product would print 35*e2^2 and 259*e2^4, as GW mode does
+    expr = parse_bundle("det-(E1) (+) Sym(5,E2)")
+    assert str(pontryagin_total(expr, Fp(13))) == (
+        "1 + e1^2 + e2^2 + e1^2*e2^2 + 225*e2^4 + 225*e1^2*e2^4"
+        " + 225*e2^6 + 225*e1^2*e2^6"
+    )
+    assert str(pontryagin_total(expr, Fp(13), "GW")) == (
+        "1 + e1^2 + 35*e2^2 + 35*e1^2*e2^2 + 259*e2^4 + 259*e1^2*e2^4"
+        " + 225*e2^6 + 225*e1^2*e2^6"
+    )
+
+
+# ------------------------------------------- differential against walkers
+#
+# A test-only copy of the per-node closed formulas that euler and
+# pontryagin_total used before the splitting-principle fold: one walk
+# for the labels, one for the characteristic and one per class.
+
+
+def _ref_labels(expr: BundleExpr) -> tuple[int, ...]:
+    out: set[int] = set()
+
+    def walk(node: BundleExpr) -> None:
+        if isinstance(node, Gen):
+            out.add(node.index)
+        elif isinstance(node, Sum):
+            for p in node.parts:
+                walk(p)
+        elif isinstance(node, Tensor):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, (Sym, DetTwist)):
+            walk(node.base)
+        else:
+            raise InvalidEntry(f"not a bundle expression: {node!r}")
+
+    walk(expr)
+    return tuple(sorted(out))
+
+
+def _ref_check_characteristic(expr: BundleExpr, field) -> None:
+    ell = field.characteristic
+
+    def walk(node: BundleExpr) -> None:
+        if isinstance(node, Sym):
+            if ell and (2 * node.power) % ell == 0:
+                raise CharacteristicConstraint(
+                    f"Sym^{node.power} needs the characteristic prime to "
+                    f"{2 * node.power}"
+                )
+            walk(node.base)
+        elif isinstance(node, Sum):
+            for p in node.parts:
+                walk(p)
+        elif isinstance(node, Tensor):
+            walk(node.left)
+            walk(node.right)
+        elif isinstance(node, DetTwist):
+            walk(node.base)
+
+    walk(expr)
+
+
+def _ref_gens(node: BundleExpr, message: str) -> tuple[int, ...]:
+    # the generator indices of a supported Sym or Tensor node
+    children = (node.base,) if isinstance(node, Sym) else (node.left, node.right)
+    if not all(isinstance(c, Gen) for c in children):
+        raise UnsupportedTensor(message)
+    return tuple(c.index for c in children)
+
+
+_SYM_MSG = "Sym is only implemented on a generator bundle"
+_TENSOR_MSG = "tensor products are only implemented for two generators"
+
+
+def _ref_euler(expr: BundleExpr, field, mode: str) -> WittPoly:
+    gens = _ref_labels(expr)
+    _ref_check_characteristic(expr, field)
+
+    def gen(i: int) -> WittPoly:
+        return WittPoly.gen(i, gens, field, mode)
+
+    def ev(node: BundleExpr) -> WittPoly:
+        if isinstance(node, Gen):
+            return gen(node.index)
+        if isinstance(node, Sum):
+            out = WittPoly.constant(1, gens, field, mode)
+            for p in node.parts:
+                out = out * ev(p)
+            return out
+        if isinstance(node, Sym):
+            (i,) = _ref_gens(node, _SYM_MSG)
+            m = node.power
+            if m % 2 == 0:
+                return WittPoly(field, gens, {}, mode)
+            out = WittPoly.constant(double_factorial(m), gens, field, mode)
+            for _ in range((m + 1) // 2):
+                out = out * gen(i)
+            return out
+        if isinstance(node, Tensor):
+            i, k = _ref_gens(node, _TENSOR_MSG)
+            return gen(i) * gen(i) - gen(k) * gen(k)
+        inner = ev(node.base)
+        return -inner if node.sign == -1 else inner
+
+    return ev(expr)
+
+
+def _ref_pontryagin(expr: BundleExpr, field, mode: str) -> WittPoly:
+    gens = _ref_labels(expr)
+    _ref_check_characteristic(expr, field)
+
+    def gen(i: int) -> WittPoly:
+        return WittPoly.gen(i, gens, field, mode)
+
+    def ev(node: BundleExpr) -> WittPoly:
+        one = WittPoly.constant(1, gens, field, mode)
+        if isinstance(node, Gen):
+            return one + gen(node.index) * gen(node.index)
+        if isinstance(node, Sum):
+            out = one
+            for p in node.parts:
+                out = out * ev(p)
+            return out
+        if isinstance(node, Sym):
+            (i,) = _ref_gens(node, _SYM_MSG)
+            m = node.power
+            e2 = gen(i) * gen(i)
+            out = one
+            for j in range(m // 2 + 1):
+                out = out * (one + e2.scale((m - 2 * j) ** 2))
+            return out
+        if isinstance(node, Tensor):
+            i, k = _ref_gens(node, _TENSOR_MSG)
+            sq1, sq2 = gen(i) * gen(i), gen(k) * gen(k)
+            diff = sq1 - sq2
+            return one + (sq1 + sq2).scale(2) + diff * diff
+        return ev(node.base)
+
+    return ev(expr)
+
+
+def _random_bundle_text(rng: random.Random, depth: int) -> str:
+    """Sym powers up to 5 over E1-E3, nested at most `depth` deep, with
+    brackets and det+- around sums; a few Sym and (x) nodes get bases
+    that the classes refuse."""
+    def gen() -> str:
+        return f"E{rng.randint(1, 3)}"
+
+    def total(d: int) -> str:
+        return " (+) ".join(_random_bundle_text(rng, d) for _ in range(rng.randint(2, 3)))
+
+    kind = rng.randrange(5) if depth else 0
+    if kind == 1:
+        base = gen() if rng.random() < 0.9 else total(depth - 1)
+        return f"Sym({rng.randint(1, 5)},{base})"
+    if kind == 2:
+        left = gen() if rng.random() < 0.9 else f"Sym(2,{gen()})"
+        return f"{left} (x) {gen()}"
+    if kind == 3:
+        return f"det{rng.choice('+-')}({total(depth - 1)})"
+    if kind == 4:
+        return f"({total(depth - 1)})"
+    return gen()
+
+
+def _coefficient_bound(expr: BundleExpr) -> int:
+    # bounds the unary GW coefficients of the total class, to keep the
+    # products small
+    if isinstance(expr, Sum):
+        out = 1
+        for p in expr.parts:
+            out *= _coefficient_bound(p)
+        return out
+    if isinstance(expr, Sym):
+        m = expr.power
+        out = 1
+        for j in range(m // 2 + 1):
+            out *= 1 + (m - 2 * j) ** 2
+        return out
+    if isinstance(expr, DetTwist):
+        return _coefficient_bound(expr.base)
+    return 25 if isinstance(expr, Tensor) else 2
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", str(fn(*args))
+    except Exception as exc:  # the refusal is part of the contract
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(seeds)
+def test_fold_matches_the_per_node_walkers(seed: int) -> None:
+    rng = random.Random(seed)
+    expr = parse_bundle(_random_bundle_text(rng, 3))
+    while _coefficient_bound(expr) > 2000:
+        expr = parse_bundle(_random_bundle_text(rng, 3))
+    for field in (Q, R, C, Fp(5), Fp(7), Fp(13)):
+        for mode in ("W", "GW"):
+            for new, ref in ((euler, _ref_euler), (pontryagin_total, _ref_pontryagin)):
+                assert _outcome(new, expr, field, mode) == _outcome(
+                    ref, expr, field, mode
+                ), (expr, field, mode, new.__name__)

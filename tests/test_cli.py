@@ -23,7 +23,7 @@ from wittcalc import (
     parse_gw,
     quadratic_lines_class,
 )
-from wittcalc import fields
+from wittcalc import cli, fields
 from wittcalc.cli import main
 
 
@@ -108,6 +108,7 @@ def test_traceform_strings() -> None:
 def test_charclass_strings() -> None:
     assert run("charclass", "euler", "Sym(3,E1)")[1] == "3*e1^2"
     assert run("charclass", "euler", "Sym(2,E1)")[1] == "0"
+    assert run("charclass", "euler", "Sym(40,E1)") == (0, "0", "")
     assert (
         run("charclass", "pontryagin", "E1 (x) E2")[1]
         == "1 + 2*e1^2 + 2*e2^2 + e1^4 - 2*e1^2*e2^2 + e2^4"
@@ -172,6 +173,24 @@ def test_rho_failure_exits_two(monkeypatch) -> None:
     code, _, err = run("gw", "classify", f"<{1000003 * 1000037}>")
     assert code == 2
     assert "FactorizationLimit" in err
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_memory_error_exits_two_as_resource_limit(monkeypatch, json_mode) -> None:
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_run_lines", exhausted)
+    argv = ["--json"] * json_mode + ["lines", "--d", "5", "--quadratic"]
+    code, out, err = run(*argv)
+    assert code == 2
+    assert "Traceback" not in out + err
+    if json_mode:
+        payload = json.loads(out)
+        assert (payload["status"], payload["error"]) == ("error", "ResourceLimit")
+        assert err == ""
+    else:
+        assert (out, err) == ("", "error: ResourceLimit: the computation ran out of memory")
 
 
 # -------------------------------------------------------------- json mode
