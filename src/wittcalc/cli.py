@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import a1deg, charclass, enumgeo, gwcore, traceform
-from .errors import DomainError, FormSyntaxError, ResourceLimit
+from .errors import DomainError, FormSyntaxError, InvalidEntry, ResourceLimit
 from .fields import Q
 from .gwcore import (
     GWClass,
@@ -260,7 +260,17 @@ def _run_charclass(args: argparse.Namespace) -> int:
     )
 
 
+# N_686 has 4300 digits, the most Python prints from an int by default
+# (sys.get_int_max_str_digits); N_687 has 4307.
+_LINES_MAX_D = 686
+
+
 def _run_lines(args: argparse.Namespace) -> int:
+    if args.d > _LINES_MAX_D:
+        raise InvalidEntry(
+            f"lines supports d <= {_LINES_MAX_D}: N_d for larger d has more "
+            "than 4300 digits, Python's default limit on int-to-string conversion"
+        )
     n = enumgeo.lines_count(args.d)
     if args.quadratic:
         cls = enumgeo.quadratic_lines_class(args.d)

@@ -119,7 +119,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 def squarefree_part(a: int | Fraction) -> int:
     """Square-class representative of a nonzero rational: a square-free
     integer with the same sign, congruent to a modulo nonzero squares."""
-    a = Fraction(a)
+    if type(a) is not int:
+        a = Fraction(a)
     if a == 0:
         raise InvalidEntry("zero has no square class")
     n = abs(a.numerator * a.denominator)
@@ -214,21 +215,26 @@ class FieldSpec(Frozen):
         return self.p if self.kind == "Fp" else 0
 
     def canonical_entry(self, a: int | Fraction) -> int:
-        """Canonical square-class representative of a nonzero entry."""
-        if self.kind == "Q":
-            return squarefree_part(Fraction(a))
-        if self.kind == "R":
+        """Canonical square-class representative of a nonzero entry.
+
+        An exact int (not a bool) is read as it is, since it has the
+        numerator and denominator this needs; anything else goes through
+        Fraction first."""
+        kind = self.kind
+        if kind == "Q":
+            return squarefree_part(a)
+        if type(a) is not int:
             a = Fraction(a)
+        if kind == "R":
             if a == 0:
                 raise InvalidEntry("zero has no square class")
             return 1 if a > 0 else -1
-        if self.kind == "C":
-            if Fraction(a) == 0:
+        if kind == "C":
+            if a == 0:
                 raise InvalidEntry("zero has no square class")
             return 1
         p = self.p
         assert p is not None
-        a = Fraction(a)
         num, den = a.numerator % p, a.denominator % p
         if num == 0 or den == 0:
             raise InvalidEntry(f"entry {a} is not a unit mod {p}")

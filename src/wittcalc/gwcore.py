@@ -2,9 +2,12 @@
 
 A form is diagonal with entries canonicalized to square-class
 representatives; a GW class is a reduced virtual difference of two such
-forms.  Gram matrices are diagonalized by one symmetric-elimination
-kernel: fraction-free Bareiss elimination over Z (after clearing
-denominators), or on residues mod p over F_p.  Equality of GW classes is
+forms.  Entries are canonicalized once per construction: GWClass.make
+canonicalizes each input entry, cancels the classes the two sides share
+as multisets, sorts each side and builds both forms directly.  Gram
+matrices are diagonalized by one symmetric-elimination kernel:
+fraction-free Bareiss elimination over Z (after clearing denominators),
+or on residues mod p over F_p.  Equality of GW classes is
 decided by the complete invariant (rank, Witt class); over Q the Witt
 class is the triple
 
@@ -21,6 +24,7 @@ is safe to share across threads.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -352,13 +356,15 @@ class GWClass(Frozen):
         plus: Iterable[Scalar] = (),
         minus: Iterable[Scalar] = (),
     ) -> "GWClass":
-        p = [field.canonical_entry(a) for a in plus]
-        m = [field.canonical_entry(a) for a in minus]
-        for a in list(m):
-            if a in p:
-                p.remove(a)
-                m.remove(a)
-        return GWClass(field, QForm.make(field, p), QForm.make(field, m))
+        canon = field.canonical_entry
+        p = [canon(a) for a in plus]
+        m = [canon(a) for a in minus]
+        if p and m:
+            cp, cm = Counter(p), Counter(m)
+            p, m = list((cp - cm).elements()), list((cm - cp).elements())
+        p.sort(key=_entry_sort_key)
+        m.sort(key=_entry_sort_key)
+        return GWClass(field, QForm(field, tuple(p)), QForm(field, tuple(m)))
 
     @property
     def rank(self) -> int:

@@ -176,6 +176,25 @@ def test_rho_failure_exits_two(monkeypatch) -> None:
 
 
 @pytest.mark.parametrize("json_mode", [False, True])
+@pytest.mark.parametrize("d", ["687", "1000"])
+def test_lines_beyond_printable_count_refused_before_computing(d, json_mode) -> None:
+    # N_687 has 4307 digits, past the 4300 Python prints from an int
+    argv = ["--json"] * json_mode + ["lines", "--d", d]
+    start = time.perf_counter()
+    code, out, err = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "Traceback" not in out + err
+    if json_mode:
+        payload = json.loads(out)
+        assert (payload["status"], payload["error"]) == ("error", "InvalidEntry")
+        assert "686" in payload["message"] and "4300" in payload["message"]
+    else:
+        assert out == ""
+        assert err.startswith("error: InvalidEntry: ") and "686" in err
+
+
+@pytest.mark.parametrize("json_mode", [False, True])
 def test_memory_error_exits_two_as_resource_limit(monkeypatch, json_mode) -> None:
     def exhausted(args):
         raise MemoryError

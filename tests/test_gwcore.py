@@ -618,3 +618,165 @@ def test_hyperbolic_normal_form_cases() -> None:
     mixed = GWClass.make(Q, [1] * 15 + [-1] * 12)
     assert hyperbolic_normal_form(mixed) == mixed
     assert hyperbolic_normal_form(GWClass.make(Q, [3])) is None
+
+
+# ------------------------------------------- construction against reference
+#
+# A copy of the construction path as it was before entries were
+# canonicalized once per construction: every entry goes through Fraction,
+# GWClass.make canonicalizes, cancels with list.remove, and QForm.make
+# canonicalizes the survivors a second time.
+
+
+def _ref_squarefree_part(a) -> int:
+    a = Fraction(a)
+    if a == 0:
+        raise InvalidEntry("zero has no square class")
+    n = abs(a.numerator * a.denominator)
+    r = 1
+    for p, e in fields.factorize(n):
+        if e % 2:
+            r *= p
+    return r if a > 0 else -r
+
+
+def _ref_canonical_entry(field, a) -> int:
+    if field.kind == "Q":
+        return _ref_squarefree_part(Fraction(a))
+    if field.kind == "R":
+        a = Fraction(a)
+        if a == 0:
+            raise InvalidEntry("zero has no square class")
+        return 1 if a > 0 else -1
+    if field.kind == "C":
+        if Fraction(a) == 0:
+            raise InvalidEntry("zero has no square class")
+        return 1
+    p = field.p
+    a = Fraction(a)
+    num, den = a.numerator % p, a.denominator % p
+    if num == 0 or den == 0:
+        raise InvalidEntry(f"entry {a} is not a unit mod {p}")
+    r = num * pow(den, p - 2, p) % p
+    return 1 if fields.legendre(r, p) == 1 else fields.smallest_nonresidue(p)
+
+
+def _ref_qform_make(field, entries) -> tuple:
+    return tuple(
+        sorted((_ref_canonical_entry(field, a) for a in entries), key=gwcore._entry_sort_key)
+    )
+
+
+def _ref_gw_make(field, plus, minus) -> tuple:
+    p = [_ref_canonical_entry(field, a) for a in plus]
+    m = [_ref_canonical_entry(field, a) for a in minus]
+    for a in list(m):
+        if a in p:
+            p.remove(a)
+            m.remove(a)
+    return _ref_qform_make(field, p), _ref_qform_make(field, m)
+
+
+def _gw_entries(field, plus, minus) -> tuple:
+    x = GWClass.make(field, plus, minus)
+    return x.plus.entries, x.minus.entries
+
+
+def _qform_entries(field, entries) -> tuple:
+    return QForm.make(field, entries).entries
+
+
+def _result_or_error(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # compared by type and message below
+        return ("raised", type(exc), str(exc))
+
+
+construction_fields = st.sampled_from([Q, R, C, Fp(3), Fp(5), Fp(7), Fp(13)])
+raw_entries = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.builds(
+        lambda m, k, s: s * m * 2**k,  # above 2**64, cheap to factor
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=64, max_value=90),
+        st.sampled_from((1, -1)),
+    ),
+    st.integers(min_value=2**64, max_value=2**64 + 64),
+    st.fractions(min_value=-12, max_value=12, max_denominator=15),
+    st.booleans(),
+)
+
+
+def _is_unit(field, a) -> bool:
+    a = Fraction(a)
+    p = field.p or 1
+    return a != 0 and (p == 1 or (a.numerator % p != 0 and a.denominator % p != 0))
+
+
+def _non_units(field):
+    zeros = st.sampled_from([0, False, Fraction(0)])
+    if field.p is None:
+        return zeros
+    p = field.p
+    cofactor = st.integers(min_value=-5, max_value=5).filter(lambda k: k % p)
+    return st.one_of(
+        zeros,
+        cofactor.map(lambda k: k * p),
+        cofactor.map(lambda k: Fraction(k, p)),
+        cofactor.map(lambda k: k * p * 2**70),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(field=construction_fields, data=st.data())
+def test_construction_matches_reference(field, data) -> None:
+    units = raw_entries.filter(lambda a: _is_unit(field, a))
+    plus = data.draw(st.lists(units, max_size=8))
+    minus = data.draw(st.lists(units, max_size=6))
+    if plus:  # repeat some plus entries, so that cancellation runs
+        minus += data.draw(st.lists(st.sampled_from(plus), max_size=6))
+    minus = data.draw(st.permutations(minus))
+    # in some cases, mix zeros or non-units into either side
+    bad = data.draw(st.one_of(st.just([]), st.lists(_non_units(field), max_size=2)))
+    for a in bad:
+        side = data.draw(st.sampled_from((plus, minus)))
+        side.insert(data.draw(st.integers(min_value=0, max_value=len(side))), a)
+
+    expected = _result_or_error(_ref_gw_make, field, plus, minus)
+    assert _result_or_error(_gw_entries, field, plus, minus) == expected
+    expected = _result_or_error(_ref_qform_make, field, plus + minus)
+    assert _result_or_error(_qform_entries, field, plus + minus) == expected
+    for a in plus + minus:
+        expected = _result_or_error(_ref_canonical_entry, field, a)
+        assert _result_or_error(field.canonical_entry, a) == expected
+        expected = _result_or_error(_ref_squarefree_part, a)
+        assert _result_or_error(squarefree_part, a) == expected
+
+
+def _count_canonical_entry_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    inner = fields.FieldSpec.canonical_entry
+
+    def counted(self, a):
+        calls[0] += 1
+        return inner(self, a)
+
+    monkeypatch.setattr(fields.FieldSpec, "canonical_entry", counted)
+    return calls
+
+
+def test_lines_class_canonicalizes_each_entry_at_most_once(monkeypatch) -> None:
+    from wittcalc.enumgeo import quadratic_lines_class
+
+    calls = _count_canonical_entry_calls(monkeypatch)
+    assert quadratic_lines_class(3).rank == 2875
+    assert calls[0] <= 2875
+
+
+def test_cellular_euler_canonicalizes_each_entry_at_most_once(monkeypatch) -> None:
+    from wittcalc.enumgeo import Grassmannian, cellular_euler
+
+    calls = _count_canonical_entry_calls(monkeypatch)
+    assert cellular_euler(Grassmannian(2, 40)).rank == 780
+    assert calls[0] <= 780
